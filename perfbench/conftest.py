@@ -1,0 +1,9 @@
+"""Make ``repro`` (src layout) importable for the benchmark's own tests:
+``python -m pytest perfbench``."""
+
+import sys
+from pathlib import Path
+
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+if _SRC not in sys.path:
+    sys.path.insert(0, _SRC)
