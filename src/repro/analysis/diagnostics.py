@@ -62,7 +62,7 @@ class Diagnostic:
         return text
 
     def to_dict(self) -> dict:
-        """JSON-ready representation (used by ``repro.tools.lint --json``)."""
+        """JSON-ready representation (used by ``repro.tools.lint --format json``)."""
         return {
             "severity": self.severity.label,
             "checker": self.checker,

@@ -2,7 +2,7 @@
 
 The paper packs instances onto a device until the device heap says no —
 an *O(log N)* OOM-bisection discovers the feasible batch size at runtime
-(§4.3's Page-Rank cap, :class:`~repro.host.batch.BisectionPolicy`).  This
+(§4.3's Page-Rank cap, :class:`~repro.sched.BisectionPolicy`).  This
 module moves that discovery to compile time where the program allows it:
 bound every device-heap allocation ``__user_main`` can reach, multiply by
 a bound on how often each allocation site executes, and the sum is a

@@ -61,6 +61,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import math
+import threading
 from dataclasses import dataclass, field
 
 from repro.analysis.diagnostics import Diagnostic, Severity
@@ -1569,6 +1570,9 @@ class _KernelAnalyzer:
 #: memoized proof unreachable after an analyzer bump.
 _CERT_MEMO: dict[str, SafetyCertificate] = {}
 _CERT_MEMO_MAX = 256
+#: Guards the memo's evict-then-insert: ``compile_many`` analyzes kernels
+#: on several threads, and two evictions must not pick the same key.
+_CERT_MEMO_LOCK = threading.Lock()
 
 
 def _kernel_digest(kern, globals_info: dict, wrapper: bool) -> str:
@@ -1599,9 +1603,10 @@ def analyze_kernel(kern, *, globals_info: dict, wrapper: bool) -> SafetyCertific
         cert = _KernelAnalyzer(
             kern, globals_info=globals_info, wrapper=wrapper
         ).run()
-        if len(_CERT_MEMO) >= _CERT_MEMO_MAX:
-            _CERT_MEMO.pop(next(iter(_CERT_MEMO)))
-        _CERT_MEMO[key] = cert
+        with _CERT_MEMO_LOCK:
+            if len(_CERT_MEMO) >= _CERT_MEMO_MAX:
+                _CERT_MEMO.pop(next(iter(_CERT_MEMO)))
+            _CERT_MEMO[key] = cert
     return cert
 
 

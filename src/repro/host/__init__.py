@@ -18,12 +18,6 @@
 from repro.host.loader import Loader, RunResult
 from repro.host.launch import LaunchSpec
 from repro.host.ensemble_loader import EnsembleLoader, EnsembleResult, InstanceOutcome
-from repro.host.batch import (
-    BatchedEnsembleRunner,
-    BisectionPolicy,
-    CampaignResult,
-    launch_chunk,
-)
 from repro.host.argfile import (
     parse_argument_file,
     parse_argument_text,
@@ -45,10 +39,6 @@ __all__ = [
     "EnsembleLoader",
     "EnsembleResult",
     "InstanceOutcome",
-    "BatchedEnsembleRunner",
-    "BisectionPolicy",
-    "CampaignResult",
-    "launch_chunk",
     "parse_argument_file",
     "parse_argument_text",
     "resolve_arg_source",

@@ -58,8 +58,8 @@ def resolve_arg_source(arg_source) -> list[list[str]]:
     * any other ``str`` — raw argument-file text.
 
     This is the single resolution point behind
-    :class:`~repro.host.launch.LaunchSpec`; loaders, the batch runner,
-    the scheduler, and the auto-ensemble frontend all accept the same
+    :class:`~repro.host.launch.LaunchSpec`; loaders, the scheduler, and
+    the auto-ensemble frontend all accept the same
     shapes because they all call this.
     """
     if isinstance(arg_source, Path):

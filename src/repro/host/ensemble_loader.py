@@ -144,7 +144,7 @@ class EnsembleLoader(Loader):
         self.allow_races = allow_races
         #: the injector this loader armed from a spec's fault plan, if any;
         #: lets later spec-carried plans re-arm without clobbering an
-        #: injector a scheduler or batch runner attached for the campaign.
+        #: injector a scheduler attached for the campaign.
         self._spec_adopted_faults = None
         #: error-severity cross-instance race findings for the linked module;
         #: computed once here, enforced per-launch in :meth:`run_ensemble`.
@@ -191,10 +191,10 @@ class EnsembleLoader(Loader):
     def _adopt_fault_plan(self, spec: LaunchSpec) -> None:
         """Arm a spec-carried chaos plan on this loader's device.
 
-        A scheduler or batch runner that already armed an injector for the
-        campaign wins over the spec.  A plan the *spec* carries is part of
-        that launch's description, so each such launch re-arms a fresh
-        injector (schedule counters like ``times=`` start over per run).
+        A scheduler that already armed an injector for the campaign wins
+        over the spec.  A plan the *spec* carries is part of that launch's
+        description, so each such launch re-arms a fresh injector
+        (schedule counters like ``times=`` start over per run).
         """
         plan = spec.resolve_fault_plan()
         if plan is None:

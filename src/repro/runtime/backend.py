@@ -15,8 +15,8 @@ Two engines ship with the simulator, both implementing the
   trace/metrics hooks, same fault-injection points.
 
 Selection is part of the launch description:
-``LaunchSpec(backend="compiled")`` threads through ``run_ensemble``, the
-batched runner, ``Scheduler.submit``, and the CLI's ``--backend`` down to
+``LaunchSpec(backend="compiled")`` threads through ``run_ensemble``,
+``Scheduler.submit``, and the CLI's ``--backend`` down to
 :meth:`repro.gpu.device.GPUDevice.launch`.  Callers with custom engines
 may also pass any object implementing the protocol, or register one
 under a name with :func:`register_backend`.

@@ -7,7 +7,9 @@ scheduling layer the paper's related work gestures at ([3,4]): a
 submitted jobs across the pool with work stealing, OOM bisection, bounded
 retries and step-budget deadlines, and a :class:`SchedulerStats` surface
 — a read view over the :mod:`repro.obs` metrics registry — reporting
-per-device utilization in simulated time.  Pass
+per-device utilization in simulated time.  The scheduler is the one
+campaign engine: a one-device pool runs a job as consecutive launches cut
+by :class:`BisectionPolicy`, as wide as the device heap allows.  Pass
 ``obs=repro.obs.Observability.enabled()`` to record the campaign as a
 Chrome-traceable timeline.
 
@@ -24,12 +26,22 @@ Quick start::
     print(sched.stats.utilization())
 """
 
-from repro.sched.jobs import Job, JobFuture, JobResult, JobState, JobTicket
+from repro.sched.jobs import (
+    BatchRecord,
+    Job,
+    JobFuture,
+    JobResult,
+    JobState,
+    JobTicket,
+)
 from repro.sched.pool import DevicePool, PoolWorker
-from repro.sched.scheduler import Scheduler
+from repro.sched.scheduler import BisectionPolicy, Scheduler, launch_chunk
 from repro.sched.stats import DeviceStats, SchedulerStats
 
 __all__ = [
+    "BatchRecord",
+    "BisectionPolicy",
+    "launch_chunk",
     "DevicePool",
     "PoolWorker",
     "Scheduler",

@@ -11,16 +11,19 @@ because the whole stack is a simulator.
 
 Mechanics:
 
-* **Sharding** — a submitted job's instances are cut into contiguous
+* **Sharding** — on a one-device pool a job is one chunk of all its
+  instances.  On a larger pool the instances are cut into contiguous
   chunks (roughly ``2×`` the pool size, so every device gets work and
   fast devices can take more) and spread round-robin across per-worker
   queues.
 * **Work stealing** — a worker whose queue is empty steals the oldest
   chunk from the longest queue.
-* **Batch coalescing + OOM bisection** — chunk sizes are capped by a
-  per-worker-per-job :class:`~repro.host.batch.BisectionPolicy`: the same
-  halving schedule :class:`~repro.host.batch.BatchedEnsembleRunner` uses,
-  so a size that OOMed on a device is never tried there again.
+* **Batch coalescing + OOM bisection** — every launch is capped by a
+  per-worker-per-job :class:`BisectionPolicy` (``max_batch``, the static
+  footprint cap, OOM history); the rest of the chunk goes back to the
+  front of the queue.  On OOM the launched head rejoins that rest, the
+  policy halves, and the whole chunk is requeued, so a size that OOMed
+  on a device is never tried there again.
   :class:`~repro.errors.DeviceOutOfMemory` at batch size one is terminal.
 * **Retries** — a chunk that dies to a device fault (trap, RPC failure)
   is requeued with exponential backoff, at most ``retries`` times per
@@ -55,6 +58,7 @@ from repro.errors import (
     DeviceTrap,
     EnsembleSafetyError,
     JobFailed,
+    LoaderError,
     ReproError,
     RetriesExhausted,
     SchedulerError,
@@ -67,16 +71,80 @@ from repro.faults.injector import (
     NullFaultInjector,
 )
 from repro.faults.report import FAULT_EXIT, FaultReport
-from repro.host.batch import BatchRecord, BisectionPolicy, launch_chunk
-from repro.host.ensemble_loader import InstanceOutcome
+from repro.host.ensemble_loader import EnsembleLoader, EnsembleResult, InstanceOutcome
 from repro.host.launch import LaunchSpec
 from repro.obs import Observability
-from repro.sched.jobs import Job, JobFuture, JobResult, JobState, JobTicket
+from repro.sched.jobs import (
+    BatchRecord,
+    Job,
+    JobFuture,
+    JobResult,
+    JobState,
+    JobTicket,
+)
 from repro.sched.pool import DevicePool, PoolWorker
 from repro.sched.stats import SchedulerStats
 
 #: Track name the scheduler's own (wall-clock) events are recorded on.
 SCHED_TRACK = "scheduler"
+
+
+@dataclass
+class BisectionPolicy:
+    """The OOM-halving batch-size schedule of one (device, job) pair.
+
+    Start with everything that remains (optionally capped), halve on every
+    OOM, and never grow back: a size that OOMed once will OOM again because
+    the heap is reset identically between launches.
+    """
+
+    max_batch: int | None = None
+    current: int | None = None
+
+    def next_size(self, remaining: int) -> int:
+        """Batch size to try for ``remaining`` outstanding instances."""
+        size = remaining if self.current is None else min(self.current, remaining)
+        if self.max_batch is not None:
+            size = min(size, self.max_batch)
+        return max(1, size)
+
+    def record_oom(self, failed_size: int) -> int:
+        """Shrink after ``failed_size`` OOMed; returns the new ceiling.
+
+        A failure at size one is terminal — the caller should re-raise the
+        :class:`~repro.errors.DeviceOutOfMemory` instead of recording it.
+        """
+        if failed_size <= 1:
+            raise LoaderError("cannot bisect below one instance")
+        self.current = max(1, failed_size // 2)
+        return self.current
+
+
+def launch_chunk(
+    loader: EnsembleLoader,
+    spec: LaunchSpec,
+    chunk: list[list[str]],
+    first_index: int,
+) -> tuple[EnsembleResult, list[InstanceOutcome]]:
+    """Launch a contiguous slice of a campaign under ``spec``'s limits.
+
+    Returns the raw launch result plus outcomes re-tagged with campaign-
+    global instance indices (``first_index`` onward), so slices run in any
+    order, on any device, merge into one result.
+    """
+    run = loader.run_ensemble(spec.with_instances(chunk))
+    outcomes = [
+        InstanceOutcome(
+            index=first_index + o.index,
+            args=o.args,
+            exit_code=o.exit_code,
+            slot=o.slot,
+            stdout=o.stdout,
+            fault=o.fault,
+        )
+        for o in run.instances
+    ]
+    return run, outcomes
 
 
 @dataclass
@@ -87,31 +155,16 @@ class _Chunk:
     start: int  # global index of the first instance in this shard
     instances: list[list[str]]
     attempt: int = 0
-    #: The attempt counter came from a split parent, not from this chunk
-    #: faulting itself.  Reset to zero once any chunk of the job launches
-    #: successfully: after an OOM-bisection success, a later unrelated
-    #: fault must retry from attempt 0, not from the parent's attempt N.
+    #: The attempt counter came from the chunk this one was cut from, not
+    #: from this chunk faulting itself.  Reset to zero once any chunk of
+    #: the job launches successfully: after an OOM-bisection success, a
+    #: later unrelated fault must retry from attempt 0, not from attempt N.
     attempt_inherited: bool = False
     #: Kinds of the injected faults this chunk is being retried for (a
     #: chunk can stack several — e.g. a worker death then injected OOM);
     #: a subsequent successful launch publishes each as
     #: ``faults.recovered``.
     pending_faults: list = field(default_factory=list)
-
-    def split(self) -> tuple["_Chunk", "_Chunk"]:
-        half = len(self.instances) // 2
-        inherited = self.attempt_inherited or self.attempt > 0
-        left = _Chunk(
-            self.job, self.start, self.instances[:half], self.attempt, inherited
-        )
-        right = _Chunk(
-            self.job,
-            self.start + half,
-            self.instances[half:],
-            self.attempt,
-            inherited,
-        )
-        return left, right
 
 
 class Scheduler:
@@ -339,6 +392,10 @@ class Scheduler:
     def _shard(self, job: Job) -> list[_Chunk]:
         n = len(job.instances)
         size = self.chunk_size
+        if size is None and len(self.pool) == 1:
+            # One device: the whole job is one chunk, and each launch is
+            # cut from it by the device's bisection policy.
+            return [_Chunk(job, 0, job.instances)]
         if size is None:
             # ~2 chunks per device: every device gets work, faster devices
             # (or luckier shards) pick up the surplus via stealing.
@@ -480,6 +537,7 @@ class Scheduler:
             # The static bound (not OOM history — none yet) truncated the
             # chunk: one doomed launch + bisection round skipped.
             self.metrics.counter("analysis.packing.static_hits").inc()
+        tail = None
         if len(chunk.instances) > cap:
             head = _Chunk(
                 job,
@@ -494,7 +552,7 @@ class Scheduler:
                 chunk.start + cap,
                 chunk.instances[cap:],
                 chunk.attempt,
-                chunk.attempt_inherited,
+                chunk.attempt_inherited or chunk.attempt > 0,
             )
             self._queues[worker.index].appendleft(tail)
             chunk = head
@@ -562,13 +620,16 @@ class Scheduler:
                     self._fail_job(job, exc)  # one instance does not fit
                     return
                 policy.record_oom(len(chunk.instances))
-                left, right = chunk.split()
+                if tail is not None:
+                    # Rejoin the rest cut off above (still first in the
+                    # queue): the halved policy re-cuts the whole chunk.
+                    self._queues[worker.index].popleft()
+                    chunk.instances = chunk.instances + tail.instances
                 if isinstance(exc, InjectedFault):
-                    left.pending_faults = chunk.pending_faults + [
+                    chunk.pending_faults = chunk.pending_faults + [
                         exc.fault_kind
                     ]
-                self._queues[worker.index].appendleft(right)
-                self._queues[worker.index].appendleft(left)
+                self._queues[worker.index].appendleft(chunk)
                 return
             except EnsembleSafetyError as exc:
                 self._fail_job(job, exc)
@@ -595,7 +656,6 @@ class Scheduler:
                 self._fail_job(job, exc)  # loader misuse etc.: not transient
                 return
 
-        policy.record_success(len(chunk.instances))
         worker.fault_streak = 0
         for kind in chunk.pending_faults:
             self.metrics.counter("faults.recovered", kind=kind).inc()

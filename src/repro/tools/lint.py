@@ -194,16 +194,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--format",
         choices=("text", "json"),
-        default=None,
+        default="text",
         help="output format (default: text)",
     )
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        help="deprecated alias for --format json",
-    )
     args = parser.parse_args(argv)
-    fmt = args.format or ("json" if args.json else "text")
+    fmt = args.format
 
     from repro.apps.registry import APPS
 

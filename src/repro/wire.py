@@ -210,8 +210,8 @@ def spec_hash(data: dict) -> str:
 class WireOutcome(OutcomeMixin):
     """A deserialized ensemble outcome: pure data, protocol-complete.
 
-    Any :class:`~repro.host.results.EnsembleOutcome` (single launch,
-    batched campaign, scheduler job) serializes to the same
+    Any :class:`~repro.host.results.EnsembleOutcome` (single launch or
+    scheduler job) serializes to the same
     ``EnsembleOutcome`` wire kind via :func:`outcome_to_wire`; this is
     what comes back out.  It satisfies the outcome protocol
     (``instances`` / ``return_codes`` / ``all_succeeded`` /
@@ -292,7 +292,7 @@ def from_wire_any(data: Any):
 
         return InstanceOutcome.from_wire(data)
     if kind == "BatchRecord":
-        from repro.host.batch import BatchRecord
+        from repro.sched.jobs import BatchRecord
 
         return BatchRecord.from_wire(data)
     if kind == "JobResult":

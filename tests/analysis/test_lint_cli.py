@@ -20,7 +20,7 @@ class TestCleanApps:
             assert f"== {app}: clean" in out
 
     def test_json_output_shape(self, capsys):
-        assert main(["xsbench", "--json"]) == 0
+        assert main(["xsbench", "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["stage"] == "final"
         assert payload["apps"] == {"xsbench": []}
@@ -74,7 +74,7 @@ class TestFindingsRendering:
         assert main(["racy_counter", "--stage", "device", "--checker", "uninit"]) == 0
 
     def test_json_carries_structured_fields(self, racy_registry, capsys):
-        main(["racy_counter", "--stage", "device", "--json"])
+        main(["racy_counter", "--stage", "device", "--format", "json"])
         payload = json.loads(capsys.readouterr().out)
         (finding,) = [
             d
@@ -87,12 +87,10 @@ class TestFindingsRendering:
 
 
 class TestFormatFlag:
-    def test_format_json_matches_legacy_alias(self, capsys):
-        assert main(["stream", "--format", "json"]) == 0
-        new = capsys.readouterr().out
-        assert main(["stream", "--json"]) == 0
-        legacy = capsys.readouterr().out
-        assert json.loads(new) == json.loads(legacy)
+    def test_legacy_json_alias_rejected(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["stream", "--json"])
+        assert exc.value.code == 2
 
     def test_json_rows_carry_file_line_col(self, capsys):
         import inspect

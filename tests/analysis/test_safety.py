@@ -1,9 +1,13 @@
 """The safety analyzer: per-site certificates, the static-oob /
 static-trap checkers, the launch gate, and safety-mode parity."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.analysis import Severity, analyze_module
+from repro.analysis import safety
 from repro.analysis.safety import (
     ANALYZER_VERSION,
     SAFETY_META,
@@ -155,3 +159,91 @@ class TestSafetyModes:
             _loader(SAFE).run(
                 [], thread_limit=8, collect_timing=False, safety_mode="yolo"
             )
+
+
+class _RacingMemo(dict):
+    """A full memo whose iteration snapshots its keys, then waits for a
+    second thread to do the same: unsynchronized evictions both pick the
+    same oldest key.  The wait times out when a lock keeps the second
+    thread out, so a correct memo just runs one eviction after the other."""
+
+    def __init__(self, entries, barrier):
+        super().__init__(entries)
+        self._barrier = barrier
+
+    def __iter__(self):
+        keys = list(super().__iter__())
+        try:
+            self._barrier.wait()
+        except threading.BrokenBarrierError:
+            pass
+        return iter(keys)
+
+
+class _StubAnalyzer:
+    def __init__(self, kern, **_):
+        self.kern = kern
+
+    def run(self):
+        return f"cert:{self.kern}"
+
+
+class TestCertificateMemo:
+    def test_concurrent_evictions_do_not_collide(self, monkeypatch):
+        memo = _RacingMemo(
+            {"old0": "c0", "old1": "c1"}, threading.Barrier(2, timeout=1.0)
+        )
+        monkeypatch.setattr(safety, "_CERT_MEMO", memo)
+        monkeypatch.setattr(safety, "_CERT_MEMO_MAX", 2)
+        monkeypatch.setattr(safety, "_KernelAnalyzer", _StubAnalyzer)
+        monkeypatch.setattr(safety, "_kernel_digest", lambda kern, *_: kern)
+        errors = []
+
+        def analyze(name):
+            try:
+                safety.analyze_kernel(name, globals_info={}, wrapper=True)
+            except Exception as exc:  # noqa: BLE001 - surfaced below
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=analyze, args=(k,)) for k in ("k0", "k1")
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert dict(memo) == {"k0": "cert:k0", "k1": "cert:k1"}
+
+    def test_eviction_stress_keeps_memo_bounded(self, monkeypatch):
+        monkeypatch.setattr(safety, "_CERT_MEMO", {})
+        monkeypatch.setattr(safety, "_CERT_MEMO_MAX", 4)
+        monkeypatch.setattr(safety, "_KernelAnalyzer", _StubAnalyzer)
+        monkeypatch.setattr(safety, "_kernel_digest", lambda kern, *_: kern)
+        errors = []
+
+        def analyze(worker):
+            try:
+                for i in range(300):
+                    safety.analyze_kernel(
+                        f"w{worker}k{i}", globals_info={}, wrapper=True
+                    )
+            except Exception as exc:  # noqa: BLE001 - surfaced below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=analyze, args=(w,)) for w in range(6)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert len(safety._CERT_MEMO) == 4

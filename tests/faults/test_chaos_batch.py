@@ -1,25 +1,23 @@
-"""Chaos: batch-runner injection point (``batch.launch``).
+"""Chaos: device loss and injected OOM on a one-device campaign.
 
-Contract under test: a mid-batch device loss retries the batch cleanly
-(the device heap resets per launch); a persistent loss isolates that
-batch's instances after :data:`~repro.host.batch.FAULT_RETRY_LIMIT`
-attempts and the campaign keeps going — it never dies wholesale.
+Contract under test: a device loss (``worker_death``) retries the batch
+cleanly (the device heap resets per launch); a loss that outlasts the
+retry budget isolates that batch's instances and the campaign keeps
+going — it never dies wholesale.  A spec-carried plan is armed once per
+campaign, so ``times=`` counts across every batch.
 """
 
 from repro.faults import FAULT_EXIT
-from repro.gpu.device import GPUDevice
-from repro.host.batch import FAULT_RETRY_LIMIT, BatchedEnsembleRunner
-from repro.host.ensemble_loader import EnsembleLoader
 from repro.host.launch import LaunchSpec
 from repro.obs import Observability
+from repro.sched import DevicePool, Scheduler
 from tests.util import SMALL_DEVICE
 
 LINES = [[str(i)] for i in range(6)]
 
 
-def make_runner(prog, **kw):
-    loader = EnsembleLoader(prog, GPUDevice(SMALL_DEVICE), heap_bytes=1 << 20)
-    return BatchedEnsembleRunner(loader, **kw), loader
+def make_scheduler(**kw):
+    return Scheduler(DevicePool(1, config=SMALL_DEVICE), **kw)
 
 
 def spec(plan=None):
@@ -28,29 +26,32 @@ def spec(plan=None):
     )
 
 
+def run(sched, prog, plan=None):
+    return sched.run_campaign(
+        prog, spec(plan), loader_opts={"heap_bytes": 1 << 20}
+    )
+
+
 class TestRecoveredLoss:
     def test_single_loss_retries_and_recovers(self, echo_prog):
         obs = Observability()
-        runner, loader = make_runner(echo_prog, obs=obs)
-        result = runner.run(spec("device_loss:times=1"))
-        assert [o.exit_code for o in result.outcomes] == list(range(6))
-        assert result.fault_retries == 1
+        sched = make_scheduler(obs=obs)
+        result = run(sched, echo_prog, "worker_death:times=1")
+        assert [o.exit_code for o in result.instances] == list(range(6))
+        assert result.retries == 1
         assert not result.fault_reports
         recovered = obs.metrics.series("faults.recovered")
         assert sum(c.value for c in recovered) == 1
-        loader.close()
 
     def test_outputs_match_unfaulted_run(self, echo_prog):
-        runner, loader = make_runner(echo_prog)
-        base = runner.run(spec())
-        hit = runner.run(spec("device_loss:times=2"))
-        assert [o.exit_code for o in hit.outcomes] == [
-            o.exit_code for o in base.outcomes
+        base = run(make_scheduler(), echo_prog)
+        hit = run(make_scheduler(), echo_prog, "worker_death:times=2")
+        assert [o.exit_code for o in hit.instances] == [
+            o.exit_code for o in base.instances
         ]
-        assert [o.stdout for o in hit.outcomes] == [
-            o.stdout for o in base.outcomes
+        assert [o.stdout for o in hit.instances] == [
+            o.stdout for o in base.instances
         ]
-        loader.close()
 
 
 class TestInjectedOOM:
@@ -60,51 +61,49 @@ class TestInjectedOOM:
         # the OOM refired on every bisected size down to 1, which is fatal.
         # One campaign-scoped injector must serve every batch.
         obs = Observability()
-        runner, loader = make_runner(echo_prog, max_batch=2, obs=obs)
-        result = runner.run(spec("oom:times=1"))
-        codes = [o.exit_code for o in sorted(result.outcomes, key=lambda o: o.index)]
-        assert codes == list(range(6))
-        assert result.oom_retries == 1
-        assert len(loader.device.faults.events) == 1
+        sched = make_scheduler(max_batch=2, obs=obs)
+        result = run(sched, echo_prog, "oom:times=1")
+        assert [o.exit_code for o in result.instances] == list(range(6))
+        assert result.oom_splits == 1
+        assert len(sched.faults.events) == 1
         recovered = obs.metrics.series("faults.recovered")
         assert sum(c.value for c in recovered) == 1
         assert any(("kind", "oom") in c.labels for c in recovered)
-        loader.close()
 
     def test_next_run_rearms_a_fresh_plan(self, echo_prog):
-        # ...while a *new* run() of the same runner re-arms the spec plan,
-        # so its schedule counters start over per campaign.
-        runner, loader = make_runner(echo_prog, max_batch=2)
-        first = runner.run(spec("oom:times=1"))
-        second = runner.run(spec("oom:times=1"))
-        assert first.oom_retries == 1
-        assert second.oom_retries == 1
-        assert [o.exit_code for o in second.outcomes] == list(range(6))
-        loader.close()
+        # ...while a *new* campaign re-arms the spec plan, so its schedule
+        # counters start over per campaign.
+        first = run(make_scheduler(max_batch=2), echo_prog, "oom:times=1")
+        second = run(make_scheduler(max_batch=2), echo_prog, "oom:times=1")
+        assert first.oom_splits == 1
+        assert second.oom_splits == 1
+        assert [o.exit_code for o in second.instances] == list(range(6))
 
 
 class TestPersistentLoss:
     def test_stuck_batch_is_isolated_not_fatal(self, echo_prog):
         obs = Observability()
-        runner, loader = make_runner(echo_prog, max_batch=2, obs=obs)
-        # The device dies FAULT_RETRY_LIMIT times at the first batch
-        # cursor: those two instances are isolated, the rest run normally.
-        result = runner.run(spec(f"device_loss:times={FAULT_RETRY_LIMIT}"))
-        codes = [o.exit_code for o in sorted(result.outcomes, key=lambda o: o.index)]
+        sched = make_scheduler(max_batch=2, default_retries=1, obs=obs)
+        # A retried batch goes to the back of the queue: the first three
+        # losses hit batches [0,1], [2,3] and [4,5]; the fourth hits [0,1]
+        # again, past its one retry.  Only those two instances are
+        # isolated; the other batches recover.
+        result = run(sched, echo_prog, "worker_death:times=4")
+        codes = [o.exit_code for o in result.instances]
         assert codes == [FAULT_EXIT, FAULT_EXIT, 2, 3, 4, 5]
-        assert result.fault_retries == FAULT_RETRY_LIMIT
-        assert len(result.fault_reports) == 2
-        for report in result.fault_reports:
-            assert report.kind == "device_loss"
-            assert report.attempts == FAULT_RETRY_LIMIT
+        assert result.retries == 4
+        assert len(result.fault_reports) == 1
+        (report,) = result.fault_reports
+        assert report.kind == "worker_death"
+        assert report.instances == [0, 1]
+        assert report.attempts == 2
         isolated = obs.metrics.series("faults.isolated")
         assert sum(c.value for c in isolated) == 2
-        loader.close()
 
     def test_degraded_campaign_is_not_all_succeeded(self, echo_prog):
-        runner, loader = make_runner(echo_prog, max_batch=3)
-        result = runner.run(spec(f"device_loss:times={FAULT_RETRY_LIMIT}"))
+        sched = make_scheduler(max_batch=3, default_retries=1)
+        result = run(sched, echo_prog, "worker_death:times=3")
         assert not result.all_succeeded
-        survivors = [o for o in result.outcomes if o.fault is None]
+        assert result.degraded
+        survivors = [o for o in result.instances if o.fault is None]
         assert len(survivors) == 3
-        loader.close()

@@ -93,7 +93,10 @@ class TestPoison:
 class TestDeadline:
     def test_injected_deadline_degrades_pending_work(self, pagerank_prog):
         result, stats, _ = run_campaign(
-            pagerank_prog, "deadline:job=*:times=1:after=1", devices=1
+            pagerank_prog,
+            "deadline:job=*:times=1:after=1",
+            devices=1,
+            chunk_size=3,
         )
         # One shard ran before the deadline fired; everything still
         # pending was isolated, and the job completed degraded.

@@ -40,6 +40,13 @@ def test_pagerank_capacity(capsys):
     assert "device out of memory" in out
 
 
+def test_batched_campaign(capsys):
+    out = run_example("batched_campaign.py", capsys)
+    assert "campaign of 12 instances against a 1536 KiB heap" in out
+    assert "OOM retries while probing: 2; final batch size: 3" in out
+    assert "all 12 instances succeeded: True" in out
+
+
 def test_profiling_example_listed():
     # the slow profiling example is exercised manually; assert it exists
     assert (EXAMPLES / "profiling.py").exists()

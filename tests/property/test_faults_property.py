@@ -100,7 +100,6 @@ def _consult(injector, n):
                 ("device.alloc", {}),
                 ("device.launch", {"team": i % 4}),
                 ("rpc.reply", {"service": "printf", "instance": i % 8}),
-                ("batch.launch", {"first_instance": i}),
                 ("sched.dispatch", {"instance_range": range(i, i + 4)}),
             ):
                 spec = injector.fire(point, **ctx)

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from repro import wire
 from repro.faults.plan import KINDS, FaultPlan, FaultSpec
 from repro.faults.report import FAULT_EXIT, FaultReport
-from repro.host.batch import BatchRecord
+from repro.sched import BatchRecord
 from repro.host.ensemble_loader import InstanceOutcome
 from repro.host.launch import LaunchSpec
 from repro.runtime.backend import available_backends
@@ -81,7 +81,7 @@ def fault_reports(draw):
         kind=draw(st.sampled_from(sorted(KINDS))),
         point=draw(
             st.sampled_from(
-                ["sched.dispatch", "device.alloc", "rpc.reply", "batch.launch"]
+                ["sched.dispatch", "device.alloc", "rpc.reply"]
             )
         ),
         message=draw(st.text(max_size=40)),

@@ -3,16 +3,24 @@ and the v2.0 TypeError guards over the removed legacy call shapes."""
 
 import pytest
 
-from repro.errors import LoaderError
+from repro.errors import LoaderError, SchedulerError
 from repro.host.argfile import resolve_arg_source, write_argument_file
-from repro.host.batch import BatchedEnsembleRunner, CampaignResult
 from repro.host.ensemble_loader import EnsembleResult, InstanceOutcome
 from repro.host.launch import LaunchSpec
 from repro.host.results import EnsembleOutcome
 from repro.obs.reporting import report
+from repro.sched import DevicePool, JobResult, Scheduler
+from tests.util import SMALL_DEVICE
 
 LINES = [["-p", "8", "-n", "2", "-l", "16", "-s", "1"],
          ["-p", "8", "-n", "2", "-l", "16", "-s", "2"]]
+
+
+def one_device_scheduler(loader):
+    """A one-device scheduler whose pool reuses ``loader`` (no recompile)
+    without re-pointing the shared loader's device at its own sinks."""
+    pool = DevicePool(1, config=SMALL_DEVICE, loader_factory=lambda *_: loader)
+    return Scheduler(pool)
 
 
 class TestResolveArgSource:
@@ -69,19 +77,21 @@ class TestUnifiedEntryPoints:
         with pytest.raises(TypeError):
             rsbench_loader.run_ensemble(LINES, thread_limit=32)
 
-    def test_batch_runner_takes_spec(self, rsbench_loader):
-        runner = BatchedEnsembleRunner(rsbench_loader)
-        res = runner.run(LaunchSpec(LINES, thread_limit=32, collect_timing=False))
+    def test_one_device_scheduler_takes_spec(self, rsbench_loader):
+        sched = one_device_scheduler(rsbench_loader)
+        res = sched.run_campaign(
+            None, LaunchSpec(LINES, thread_limit=32, collect_timing=False)
+        )
         assert res.all_succeeded
 
-    def test_batch_runner_legacy_shape_raises_with_hint(self, rsbench_loader):
-        runner = BatchedEnsembleRunner(rsbench_loader)
-        with pytest.raises(TypeError, match="LaunchSpec"):
-            runner.run(LINES)
+    def test_scheduler_legacy_shape_raises_with_hint(self, rsbench_loader):
+        sched = one_device_scheduler(rsbench_loader)
+        with pytest.raises(SchedulerError, match="LaunchSpec"):
+            sched.submit(None, LINES)
 
-    def test_batch_runner_legacy_ctor_kwargs_removed(self, rsbench_loader):
+    def test_scheduler_ctor_takes_no_launch_limits(self):
         with pytest.raises(TypeError):
-            BatchedEnsembleRunner(rsbench_loader, thread_limit=32)
+            Scheduler(DevicePool(1, config=SMALL_DEVICE), thread_limit=32)
 
     def test_loader_run_accepts_single_instance_spec(self, rsbench_loader):
         res = rsbench_loader.run(
@@ -106,21 +116,24 @@ class TestResultProtocol:
             InstanceOutcome(index=1, args=["b"], exit_code=3, slot=1, stdout="B\n"),
         ]
 
-    def test_campaign_result_conforms(self):
-        res = CampaignResult(outcomes=self._outcomes(), total_cycles=10.0)
+    def test_scheduler_result_conforms(self, rsbench_loader):
+        res = one_device_scheduler(rsbench_loader).run_campaign(
+            None, LaunchSpec(LINES, thread_limit=32, collect_timing=False)
+        )
         assert isinstance(res, EnsembleOutcome)
-        assert res.instances == res.outcomes
-        assert res.return_codes == [0, 3]
-        assert not res.all_succeeded
-        assert res.stdout_of(1) == "B\n"
+        assert [o.index for o in res.instances] == [0, 1]
+        assert res.return_codes == [0, 0]
+        assert res.all_succeeded
+        assert "RSBench" in res.stdout_of(1)
+        assert res.total_cycles is None  # collect_timing off
 
     def test_job_result_conforms(self):
-        from repro.sched.jobs import JobResult
-
         res = JobResult(job_id=0, instances=self._outcomes())
         assert isinstance(res, EnsembleOutcome)
         assert res.return_codes == [0, 3]
+        assert not res.all_succeeded
         assert res.stdout_of(0) == "A\n"
+        assert res.stdout_of(1) == "B\n"
         assert res.total_cycles is None
 
     def test_ensemble_result_conforms(self, rsbench_loader):
@@ -133,14 +146,16 @@ class TestResultProtocol:
         assert "RSBench" in res.stdout_of(0)
 
     def test_report_summary_handles_untimed(self):
-        res = CampaignResult(outcomes=self._outcomes(), total_cycles=None)
+        res = JobResult(job_id=0, instances=self._outcomes(), total_cycles=None)
         text = report(res, format="summary")
         assert "2 instances" in text
         assert "untimed" in text
         assert "1 failed" in text
 
     def test_report_summary_formats_cycles(self):
-        res = CampaignResult(outcomes=self._outcomes()[:1], total_cycles=1234.5)
+        res = JobResult(
+            job_id=0, instances=self._outcomes()[:1], total_cycles=1234.5
+        )
         assert "1234 simulated cycles" in report(res, format="summary")
 
     def test_summarize_outcome_removed(self):

@@ -1,12 +1,9 @@
 """Acceptance: a ≥32-instance campaign through a 4-device Scheduler is
-instance-for-instance identical to a single-device BatchedEnsembleRunner
-run, and every device in the pool does nonzero work."""
+instance-for-instance identical to the same campaign on a one-device
+Scheduler, and every device in the pool does nonzero work."""
 
 import pytest
 
-from repro.gpu.device import GPUDevice
-from repro.host.batch import BatchedEnsembleRunner
-from repro.host.ensemble_loader import EnsembleLoader
 from repro.host.launch import LaunchSpec
 from repro.sched import DevicePool, Scheduler
 from tests.util import SMALL_DEVICE
@@ -38,11 +35,10 @@ class TestSchedulerParity:
             loader_opts={"heap_bytes": HEAP},
         )
 
-        loader = EnsembleLoader(
-            program, GPUDevice(SMALL_DEVICE), heap_bytes=HEAP
-        )
-        single = BatchedEnsembleRunner(loader).run(
-            LaunchSpec(CAMPAIGN, thread_limit=32)
+        single = Scheduler(DevicePool(1, config=SMALL_DEVICE)).run_campaign(
+            program,
+            LaunchSpec(CAMPAIGN, thread_limit=32),
+            loader_opts={"heap_bytes": HEAP},
         )
 
         assert len(sched_result.instances) == 32

@@ -12,7 +12,7 @@ import pytest
 from repro import wire
 from repro.faults.plan import FaultPlan
 from repro.faults.report import FaultReport
-from repro.host.batch import BatchRecord
+from repro.sched import BatchRecord
 from repro.host.ensemble_loader import InstanceOutcome
 from repro.host.launch import LaunchSpec
 from repro.sched.jobs import JobResult, JobState, JobTicket
