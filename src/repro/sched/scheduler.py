@@ -214,6 +214,9 @@ class Scheduler:
         #: scheduler's own dispatch loop and, via the pool, every device
         #: and RPC host.  ``None`` keeps the zero-cost NO_FAULTS default.
         self.faults = NO_FAULTS
+        #: ``self.faults`` was armed from a submitted spec's plan (not from
+        #: the constructor), so the next spec plan replaces it.
+        self._faults_from_spec = False
         if faults is not None:
             self._arm_faults(
                 faults
@@ -308,10 +311,13 @@ class Scheduler:
                 # this job's launches, whatever else the pool is running.
                 injector = FaultInjector(plan)
                 injector.attach_obs(self.obs)
-            elif not self.faults.enabled:
-                # Spec-carried chaos plan: armed lazily for the whole
-                # campaign (a constructor injector wins over the spec).
+            elif self._faults_from_spec or not self.faults.enabled:
+                # Spec-carried chaos plan: armed afresh for each submitted
+                # campaign, so schedule counters (``times=``) count across
+                # that campaign's launches and start over for the next one.
+                # A constructor injector wins over any spec.
                 self._arm_faults(FaultInjector(plan))
+                self._faults_from_spec = True
         job = Job(
             job_id=self._next_job_id,
             program=program,

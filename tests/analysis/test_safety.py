@@ -1,7 +1,6 @@
 """The safety analyzer: per-site certificates, the static-oob /
 static-trap checkers, the launch gate, and safety-mode parity."""
 
-import sys
 import threading
 
 import pytest
@@ -215,35 +214,3 @@ class TestCertificateMemo:
         assert not any(t.is_alive() for t in threads)
         assert errors == []
         assert dict(memo) == {"k0": "cert:k0", "k1": "cert:k1"}
-
-    def test_eviction_stress_keeps_memo_bounded(self, monkeypatch):
-        monkeypatch.setattr(safety, "_CERT_MEMO", {})
-        monkeypatch.setattr(safety, "_CERT_MEMO_MAX", 4)
-        monkeypatch.setattr(safety, "_KernelAnalyzer", _StubAnalyzer)
-        monkeypatch.setattr(safety, "_kernel_digest", lambda kern, *_: kern)
-        errors = []
-
-        def analyze(worker):
-            try:
-                for i in range(300):
-                    safety.analyze_kernel(
-                        f"w{worker}k{i}", globals_info={}, wrapper=True
-                    )
-            except Exception as exc:  # noqa: BLE001 - surfaced below
-                errors.append(exc)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [
-                threading.Thread(target=analyze, args=(w,)) for w in range(6)
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=30)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert errors == []
-        assert len(safety._CERT_MEMO) == 4

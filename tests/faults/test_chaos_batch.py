@@ -4,7 +4,8 @@ Contract under test: a device loss (``worker_death``) retries the batch
 cleanly (the device heap resets per launch); a loss that outlasts the
 retry budget isolates that batch's instances and the campaign keeps
 going — it never dies wholesale.  A spec-carried plan is armed once per
-campaign, so ``times=`` counts across every batch.
+submitted campaign, so ``times=`` counts across every batch and starts
+over for the next campaign on the same scheduler.
 """
 
 from repro.faults import FAULT_EXIT
@@ -73,10 +74,14 @@ class TestInjectedOOM:
     def test_next_run_rearms_a_fresh_plan(self, echo_prog):
         # ...while a *new* campaign re-arms the spec plan, so its schedule
         # counters start over per campaign.
-        first = run(make_scheduler(max_batch=2), echo_prog, "oom:times=1")
-        second = run(make_scheduler(max_batch=2), echo_prog, "oom:times=1")
+        sched = make_scheduler(max_batch=2)
+        first = run(sched, echo_prog, "oom:times=1")
+        armed = sched.faults
+        second = run(sched, echo_prog, "oom:times=1")
         assert first.oom_splits == 1
         assert second.oom_splits == 1
+        assert sched.faults is not armed
+        assert len(armed.events) == len(sched.faults.events) == 1
         assert [o.exit_code for o in second.instances] == list(range(6))
 
 
