@@ -22,16 +22,16 @@ WORKLOAD = [["-g", "512", "-n", "8", "-l", "128", "-s", "1"]]
 
 def _run():
     out = {}
-    for optimize in (False, True):
+    for opt_level in (0, 1):
         loader = EnsembleLoader(
             xsbench.build_program(),
             GPUDevice(SMALL_DEVICE),
             heap_bytes=16 * 1024 * 1024,
-            optimize=optimize,
+            opt_level=opt_level,
         )
         res = loader.run_ensemble(LaunchSpec(WORKLOAD, thread_limit=32))
         kernel_size = loader.module.functions["__ensemble_entry"].instruction_count()
-        out["O2" if optimize else "O0"] = {
+        out["O2" if opt_level else "O0"] = {
             "cycles": res.cycles,
             "steps": res.launch.interpreter_steps,
             "static_instructions": kernel_size,

@@ -41,7 +41,7 @@ def one_shot(instances):
     """The pre-serve path: a private scheduler per campaign."""
     pool = DevicePool(2, config=DEFAULT_DEVICE)
     try:
-        sched = Scheduler(pool, job_scoped_faults=True)
+        sched = Scheduler(pool)
         return sched.run_campaign(
             pagerank.build_program(),
             spec_for(instances),

@@ -63,7 +63,6 @@ def build_executable(
     *,
     team_local_globals: bool = False,
     shared_mem_budget: int | None = None,
-    optimize: bool = True,
     opt_level: int | None = None,
     tracer=None,
     metrics=None,
@@ -82,9 +81,7 @@ def build_executable(
     build_ensemble_kernel(module)
     if team_local_globals:
         globals_to_shared_pass(module, shared_mem_budget=shared_mem_budget)
-    module = finalize_executable(
-        module, optimize=optimize, opt_level=opt_level, **obs_kw
-    )
+    module = finalize_executable(module, opt_level=opt_level, **obs_kw)
     # Prove memory/trap safety once per executable; the certificates ride
     # in module metadata so every backend (and the compilecache) can elide
     # dynamic guards for PROVEN sites without re-running the analysis.

@@ -240,12 +240,12 @@ class ExecutableCache:
         *,
         team_local_globals: bool = False,
         shared_mem_budget: int | None = None,
-        optimize: bool = True,
         opt_level: int | None = None,
         backend: str = "*",
     ) -> CacheKey:
-        """Build the full cache key for one compile request."""
-        resolved = opt_level if opt_level is not None else (1 if optimize else 0)
+        """Build the full cache key for one compile request
+        (``opt_level=None`` is the default level 1)."""
+        resolved = opt_level if opt_level is not None else 1
         pipeline = wire.canonical_json(
             {
                 "team_local_globals": bool(team_local_globals),
@@ -267,7 +267,6 @@ class ExecutableCache:
         *,
         team_local_globals: bool = False,
         shared_mem_budget: int | None = None,
-        optimize: bool = True,
         opt_level: int | None = None,
         backend: str = "*",
         source_hash: str | None = None,
@@ -298,7 +297,6 @@ class ExecutableCache:
             source_hash,
             team_local_globals=team_local_globals,
             shared_mem_budget=shared_mem_budget,
-            optimize=optimize,
             opt_level=opt_level,
             backend=backend,
         )

@@ -41,7 +41,6 @@ class CompileRequest:
     program: Any
     team_local_globals: bool = False
     shared_mem_budget: int | None = None
-    optimize: bool = True
     opt_level: int | None = None
     backend: str = "*"
     source_hash: str | None = None
@@ -83,7 +82,6 @@ def compile_many(
             req.program,
             team_local_globals=req.team_local_globals,
             shared_mem_budget=req.shared_mem_budget,
-            optimize=req.optimize,
             opt_level=req.opt_level,
             backend=req.backend,
             source_hash=req.source_hash,

@@ -316,13 +316,6 @@ class FaultInjector:
                 args={"point": point, **{k: str(v) for k, v in clean.items()}},
             )
 
-    def summary(self) -> dict:
-        """Injected-fault totals by kind (for the CLI's closing line)."""
-        out: dict[str, int] = {}
-        for event in self.events:
-            out[event.kind] = out.get(event.kind, 0) + 1
-        return out
-
 
 __all__ = [
     "FAULT_TRACK",

@@ -128,8 +128,8 @@ class GPUDevice:
         self.metrics = None
         #: Fault injection hook, same null-object pattern as the tracer:
         #: :data:`~repro.faults.NO_FAULTS` unless a chaos plan is attached
-        #: (by :meth:`repro.sched.pool.DevicePool.attach_faults`, a
-        #: ``LaunchSpec.fault_plan``, or directly).
+        #: (by the scheduler for each launch, a ``LaunchSpec.fault_plan``,
+        #: or directly).
         self.faults = NO_FAULTS
         #: Per-domain simulated clocks: cumulative cycles of timed launches
         #: and interpreter steps of untimed ones.  Launch spans are placed

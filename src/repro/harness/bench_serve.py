@@ -177,11 +177,11 @@ def _fingerprint(result):
 
 def _run_direct(campaigns: int):
     """The in-process baseline: same scheduler configuration the server
-    builds (job-scoped faults, default retries), no serve layer."""
+    builds (default retries), no serve layer."""
     from repro.apps import pagerank
 
     pool = DevicePool(DEVICES, config=DEFAULT_DEVICE)
-    sched = Scheduler(pool, job_scoped_faults=True)
+    sched = Scheduler(pool)
     program = pagerank.build_program()
     try:
         t0 = time.perf_counter()

@@ -161,7 +161,6 @@ class _Evaluator:
                 self.pool,
                 faults=config.fault_plan,
                 default_retries=config.retries,
-                job_scoped_faults=False,
             )
 
     def run(self, module):

@@ -208,9 +208,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _print_fault_lines(result, faults, metrics) -> None:
-    """Summarize what the injector did and how the stack degraded."""
-    fired = faults.summary() if faults.enabled else {}
+def _print_fault_lines(result, metrics) -> None:
+    """Summarize what the injectors fired and how the stack degraded."""
+    fired: dict[str, int] = {}
+    for c in metrics.series("faults.injected"):
+        kind = dict(c.labels)["kind"]
+        fired[kind] = fired.get(kind, 0) + int(c.value)
     fired_txt = (
         ", ".join(f"{k}={n}" for k, n in sorted(fired.items())) or "none fired"
     )
@@ -452,7 +455,7 @@ def _run(parser, args, app, obs: Observability) -> int:
                 f"utilization {util}"
             )
             if args.inject:
-                _print_fault_lines(result, sched.faults, obs.metrics)
+                _print_fault_lines(result, obs.metrics)
             return 0 if result.all_succeeded else 1
 
         device = GPUDevice(DEFAULT_DEVICE)
@@ -481,7 +484,7 @@ def _run(parser, args, app, obs: Observability) -> int:
         f"{cycles}"
     )
     if args.inject:
-        _print_fault_lines(result, device.faults, obs.metrics)
+        _print_fault_lines(result, obs.metrics)
     return 0 if result.all_succeeded else 1
 
 

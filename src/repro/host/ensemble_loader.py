@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.analysis import Severity, check_races
 from repro.errors import EnsembleSafetyError, LoaderError
-from repro.faults.injector import FaultInjector
+from repro.faults.injector import NO_FAULTS, FaultInjector
 from repro.faults.report import FAULT_EXIT, FaultReport
 from repro.frontend.dsl import Program
 from repro.gpu.device import GPUDevice, LaunchResult
@@ -121,9 +121,7 @@ class EnsembleLoader(Loader):
         heap_bytes: int = 64 * 1024 * 1024,
         stack_bytes: int = 2048,
         team_local_globals: bool = False,
-        optimize: bool = True,
         opt_level: int | None = None,
-        rpc_transport: str = "direct",
         allow_races: bool = False,
         allow_unsafe: bool = False,
         cache=None,
@@ -134,9 +132,7 @@ class EnsembleLoader(Loader):
             heap_bytes=heap_bytes,
             stack_bytes=stack_bytes,
             team_local_globals=team_local_globals,
-            optimize=optimize,
             opt_level=opt_level,
-            rpc_transport=rpc_transport,
             allow_unsafe=allow_unsafe,
             cache=cache,
         )
@@ -194,13 +190,15 @@ class EnsembleLoader(Loader):
         A scheduler that already armed an injector for the campaign wins
         over the spec.  A plan the *spec* carries is part of that launch's
         description, so each such launch re-arms a fresh injector
-        (schedule counters like ``times=`` start over per run).
+        (schedule counters like ``times=`` start over per run), and a
+        launch whose spec carries no plan runs without one.
         """
         plan = spec.resolve_fault_plan()
-        if plan is None:
-            return
         current = self.device.faults
         if current.enabled and current is not self._spec_adopted_faults:
+            return
+        if plan is None:
+            self.device.faults = NO_FAULTS
             return
         injector = FaultInjector(plan)
         injector.attach_sinks(self.device.tracer, self.device.metrics)

@@ -70,18 +70,13 @@ class Loader:
         heap_bytes: int = 32 * 1024 * 1024,
         stack_bytes: int = 2048,
         team_local_globals: bool = False,
-        optimize: bool = True,
         opt_level: int | None = None,
-        rpc_transport: str = "direct",
         allow_unsafe: bool = False,
         cache=None,
     ):
-        if rpc_transport not in ("direct", "ring"):
-            raise LoaderError(f"unknown rpc_transport {rpc_transport!r}")
         self.device = device if device is not None else GPUDevice(DEFAULT_DEVICE, DEFAULT_SIM)
         self.heap_bytes = heap_bytes
         self.stack_bytes = stack_bytes
-        self.rpc_transport = rpc_transport
         self.app_name = program.name if isinstance(program, (Program, Module)) else "app"
 
         obs_kw = dict(tracer=self.device.tracer, metrics=self.device.metrics)
@@ -107,7 +102,6 @@ class Loader:
                     if team_local_globals
                     else None
                 ),
-                optimize=optimize,
                 opt_level=opt_level,
                 **obs_kw,
             )
@@ -119,7 +113,6 @@ class Loader:
                 module,
                 team_local_globals=team_local_globals,
                 shared_mem_budget=self.device.config.shared_mem_per_block,
-                optimize=optimize,
                 opt_level=opt_level,
                 **obs_kw,
             )
@@ -156,19 +149,13 @@ class Loader:
     # plumbing shared with the ensemble loader
     # ------------------------------------------------------------------
     def _make_rpc_host(self) -> RPCHost:
-        """An RPC endpoint wired to the device's observability sinks.
-
-        The fault hook is only handed over for the direct transport; in
-        ring mode the :class:`~repro.host.transport.RingTransport` consults
-        the injector at its device-side endpoint, so wiring the host too
-        would fire each RPC's faults twice.
-        """
-        faults = self.device.faults if self.rpc_transport == "direct" else None
+        """An RPC endpoint wired to the device's observability sinks and
+        fault hook."""
         return RPCHost(
             self.device.memory,
             tracer=self.device.tracer,
             metrics=self.device.metrics,
-            faults=faults,
+            faults=self.device.faults,
         )
 
     def _reset_for_run(self) -> None:
@@ -278,13 +265,6 @@ class Loader:
             block.ret_addr,
             total_slots,
         )
-        transport = None
-        endpoint = rpc_host.handle
-        if self.rpc_transport == "ring":
-            from repro.host.transport import RingTransport
-
-            transport = RingTransport(self.device, rpc_host)
-            endpoint = transport.endpoint()
         try:
             return self.device.launch(
                 self.image,
@@ -294,7 +274,7 @@ class Loader:
                 params=params,
                 instances_per_team=instances_per_team,
                 stack_bytes=self.stack_bytes,
-                rpc=endpoint,
+                rpc=rpc_host.handle,
                 collect_timing=collect_timing,
                 max_steps=max_steps,
                 backend=backend,
@@ -308,9 +288,6 @@ class Loader:
                     capacity=self.heap_bytes,
                 ) from trap
             raise
-        finally:
-            if transport is not None:
-                transport.close()
 
     # ------------------------------------------------------------------
     def run(

@@ -1,14 +1,14 @@
 """The common result protocol shared by every launch entry point.
 
-A single ensemble launch (:class:`~repro.host.ensemble_loader.EnsembleResult`),
-a campaign (:class:`~repro.sched.jobs.JobResult`, on one device or many),
-and a deserialized wire outcome (:class:`~repro.wire.WireOutcome`) all
-answer the same questions: which instances ran, with which exit codes,
-did everything succeed, what did instance *i* print, and how much
-simulated time was spent.  :class:`EnsembleOutcome` names that contract
-so harness and report code can consume any of them without isinstance
-ladders, and :class:`OutcomeMixin` derives the boilerplate from
-``instances`` for concrete result classes.
+A single ensemble launch (:class:`~repro.host.ensemble_loader.EnsembleResult`)
+and a campaign (:class:`~repro.sched.jobs.JobResult`, on one device or
+many, local or deserialized from the wire) answer the same questions:
+which instances ran, with which exit codes, did everything succeed, what
+did instance *i* print, and how much simulated time was spent.
+:class:`EnsembleOutcome` names that contract so harness and report code
+can consume any of them without isinstance ladders, and
+:class:`OutcomeMixin` derives the boilerplate from ``instances`` for
+concrete result classes.
 """
 
 from __future__ import annotations

@@ -1,15 +1,10 @@
 """Host RPC endpoint.
 
 Services the device's ``rpc`` instructions (generated from calls to
-host-only functions by the RPC-lowering pass).  Two transports exist:
-
-* **direct** — the interpreter invokes :meth:`RPCHost.handle` synchronously
-  (the timing model charges each RPC a large fixed latency);
-* **ring** — the transport-faithful path over a ring buffer in device
-  memory (:mod:`repro.runtime.rpc_device`), optionally drained by a real
-  background thread, mirroring the RPC service thread in Figure 2 of the
-  paper.  The loaders use the direct path; the ring is exercised by the RPC
-  framework tests and :meth:`RPCHost.serve_ring`.
+host-only functions by the RPC-lowering pass).  The interpreter invokes
+:meth:`RPCHost.handle` synchronously (direct dispatch); the timing model
+charges each RPC a large fixed latency, standing in for the RPC service
+thread of Figure 2 of the paper.
 
 Output capture: ``printf``/``puts`` bytes are captured **per application
 instance**, so an ensemble run can return each instance its own stdout —
@@ -18,14 +13,13 @@ the host-side counterpart of instance isolation.
 Observability: per-service call totals are published into a
 :class:`~repro.obs.MetricsRegistry` (``rpc.calls{service=...}``), with
 the historical ``call_counts`` dict kept as a read view over it; an
-enabled tracer records each call and each ring drain as instant events
-on the ``rpc-host`` track (the RPC service thread of Figure 2).
+enabled tracer records each call as an instant event on the ``rpc-host``
+track (the RPC service thread of Figure 2).
 """
 
 from __future__ import annotations
 
 import re
-import threading
 import time
 from collections import defaultdict
 
@@ -35,7 +29,6 @@ from repro.gpu.memory import GlobalMemory
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER
 from repro.runtime.interpreter import RpcLane
-from repro.runtime.rpc_device import HostRing, RpcRecord, decode_float_arg
 
 _FMT_RE = re.compile(r"%[-+ #0]*\d*(?:\.\d+)?(?:hh|h|ll|l|z)?[diufeEgGxXscp%]")
 
@@ -57,10 +50,7 @@ class RPCHost:
         self.memory = memory
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        #: Fault hook for the ``rpc.reply`` injection point.  Only the
-        #: direct transport wires this up — the ring transport consults the
-        #: injector at its device-side endpoint instead, so one RPC is
-        #: never double-fired (see :class:`repro.host.transport.RingTransport`).
+        #: Fault hook for the ``rpc.reply`` injection point.
         self.faults = faults if faults is not None else NO_FAULTS
         self.stdout: dict[int, list[str]] = defaultdict(list)
         self._files: dict[int, object] = {}
@@ -243,59 +233,3 @@ class RPCHost:
 
     def _abort(self, args: list, lane: RpcLane):
         raise DeviceTrap("abort() called", team=lane.team, thread=lane.lane)
-
-    # ------------------------------------------------------------------
-    # ring transport (service thread)
-    # ------------------------------------------------------------------
-    def serve_ring(
-        self,
-        ring: HostRing,
-        service_names: dict[int, str],
-        *,
-        stop: threading.Event,
-        float_args: dict[str, tuple[int, ...]] | None = None,
-        poll_interval: float = 0.0005,
-    ) -> threading.Thread:
-        """Start a daemon thread draining ``ring`` until ``stop`` is set.
-
-        ``service_names`` maps interned service ids to names;
-        ``float_args`` optionally lists which argument positions of a
-        service are f64 (raw slot values are bit-cast back).
-        """
-        float_args = float_args or {}
-
-        def decode(record: RpcRecord) -> object:
-            name = service_names.get(record.service_id)
-            if name is None:
-                raise RPCError(f"unknown RPC service id {record.service_id}")
-            fpos = float_args.get(name, ())
-            args = [
-                decode_float_arg(a) if i in fpos else a
-                for i, a in enumerate(record.args_raw)
-            ]
-            lane = RpcLane(team=-1, instance=-1, lane=-1)  # ring carries no lane
-            return self.handle(name, args, lane)
-
-        def traced_drain() -> int:
-            n = ring.drain(decode)
-            if n:
-                self.metrics.counter("rpc.ring.drained").inc(n)
-                if self.tracer.enabled:
-                    self.tracer.instant(
-                        "ring drain",
-                        track=RPC_TRACK,
-                        cat="rpc",
-                        args={"records": n},
-                    )
-            return n
-
-        def loop() -> None:
-            with self.tracer.span("serve_ring", track=RPC_TRACK, cat="rpc"):
-                while not stop.is_set():
-                    if traced_drain() == 0:
-                        time.sleep(poll_interval)
-                traced_drain()  # final sweep
-
-        thread = threading.Thread(target=loop, name="repro-rpc", daemon=True)
-        thread.start()
-        return thread

@@ -160,7 +160,6 @@ def compile_for_device(
 def finalize_executable(
     module: Module,
     *,
-    optimize: bool = True,
     verify: bool = True,
     analyze: bool = False,
     tracer=None,
@@ -171,9 +170,9 @@ def finalize_executable(
 
     ``opt_level`` selects the optimization stage:
 
-    * ``0`` — inline only (same as ``optimize=False``);
+    * ``0`` — inline only;
     * ``1`` — the classic intraprocedural sweep (constfold/DCE/LICM/CFG
-      simplification iterated twice) — the default with ``optimize=True``;
+      simplification iterated twice) — the default (``None``);
     * ``2`` — everything in ``1`` plus the interprocedural stage: an
       :class:`~repro.analysis.manager.AnalysisManager` (kept honest by the
       pass manager's fingerprint invalidation) feeds points-to facts into
@@ -184,7 +183,7 @@ def finalize_executable(
     ``tracer``/``metrics`` behave as in :func:`compile_for_device`.
     """
     if opt_level is None:
-        opt_level = 1 if optimize else 0
+        opt_level = 1
     if opt_level not in (0, 1, 2):
         raise PassError(f"unsupported opt_level {opt_level!r} (expected 0, 1 or 2)")
     am = None

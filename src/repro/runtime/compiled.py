@@ -19,7 +19,7 @@ overhead for straight-line code:
   masked semantics are identical by construction.
 * **Shared everything else** — this class *is* a
   :class:`~repro.runtime.interpreter.BlockExecutor` subclass: memory
-  model, RPC ring, fault-injection points, divergent-path scheduling,
+  model, RPC dispatch, fault-injection points, divergent-path scheduling,
   parallel-region machinery, and trap behavior are inherited, not
   reimplemented.  Trace aggregates are preserved exactly: a block
   contributes the same cycle/instruction totals via

@@ -223,9 +223,9 @@ class Job:
     #: Owning tenant (the fair-share identity under ``repro.serve``; the
     #: empty string for direct library submissions).
     tenant: str = ""
-    #: Job-scoped fault injector: set by a scheduler constructed with
-    #: ``job_scoped_faults=True`` when the spec carries a plan, so one
-    #: tenant's chaos cannot leak into another tenant's campaign.
+    #: Job-scoped fault injector: set when the spec carries a plan and the
+    #: scheduler has no constructor injector, so one job's chaos cannot
+    #: leak into another job's launches.
     injector: Any = None
 
     state: JobState = JobState.PENDING

@@ -118,14 +118,6 @@ class DevicePool:
         for w in self.workers:
             w.cache = cache
 
-    def attach_faults(self, faults) -> None:
-        """Point every device at one shared
-        :class:`~repro.faults.FaultInjector` so a campaign's injection
-        points draw from a single deterministic plan.  Called by the
-        scheduler; idempotent."""
-        for w in self.workers:
-            w.device.faults = faults
-
     def __len__(self) -> int:
         return len(self.workers)
 

@@ -183,7 +183,6 @@ class Scheduler:
         faults=None,
         quarantine_threshold: int = 3,
         static_packing: bool = True,
-        job_scoped_faults: bool = False,
         cache=None,
     ):
         if default_retries < 0:
@@ -199,30 +198,23 @@ class Scheduler:
         #: Seed per-device batch caps from the compiler's StaticFootprint
         #: instead of discovering them through runtime OOM bisection.
         self.static_packing = static_packing
-        #: Multi-tenant mode (the ``repro.serve`` contract): a fault plan
-        #: carried by a submitted spec arms an injector scoped to *that
-        #: job only* — its injection points fire solely during that job's
-        #: launches — instead of lazily arming the campaign-global
-        #: injector.  One tenant's chaos must not leak into another's.
-        self.job_scoped_faults = job_scoped_faults
         self.obs = obs if obs is not None else Observability()
         self.tracer = self.obs.tracer
         self.metrics = self.obs.metrics
         pool.attach_obs(self.obs)
         #: Chaos hook: a FaultInjector (or a FaultPlan / spec string to arm
-        #: one) shared by every injection point in the campaign — the
-        #: scheduler's own dispatch loop and, via the pool, every device
-        #: and RPC host.  ``None`` keeps the zero-cost NO_FAULTS default.
+        #: one) shared by every injection point of every job — the
+        #: scheduler's own dispatch loop and, via the device, every RPC
+        #: host.  It wins over any plan a submitted spec carries.  ``None``
+        #: keeps the zero-cost NO_FAULTS default.
         self.faults = NO_FAULTS
-        #: ``self.faults`` was armed from a submitted spec's plan (not from
-        #: the constructor), so the next spec plan replaces it.
-        self._faults_from_spec = False
         if faults is not None:
-            self._arm_faults(
+            self.faults = (
                 faults
                 if isinstance(faults, (FaultInjector, NullFaultInjector))
                 else FaultInjector(faults)
             )
+            self.faults.attach_obs(self.obs)
         #: Shared compile-once cache (see :mod:`repro.compilecache`):
         #: attached to every pool worker, so each distinct (program,
         #: config) compiles once for the whole pool; cached footprints
@@ -250,11 +242,6 @@ class Scheduler:
     # ------------------------------------------------------------------
     # observability plumbing
     # ------------------------------------------------------------------
-    def _arm_faults(self, injector) -> None:
-        injector.attach_obs(self.obs)
-        self.faults = injector
-        self.pool.attach_faults(injector)
-
     def _count(self, name: str, amount: float = 1.0, **labels) -> None:
         self.metrics.counter(f"sched.{name}", **labels).inc(amount)
 
@@ -305,19 +292,13 @@ class Scheduler:
             raise SchedulerError("job needs at least one instance")
         plan = spec.resolve_fault_plan()
         injector = None
-        if plan is not None:
-            if self.job_scoped_faults:
-                # Multi-tenant isolation: this plan fires only inside
-                # this job's launches, whatever else the pool is running.
-                injector = FaultInjector(plan)
-                injector.attach_obs(self.obs)
-            elif self._faults_from_spec or not self.faults.enabled:
-                # Spec-carried chaos plan: armed afresh for each submitted
-                # campaign, so schedule counters (``times=``) count across
-                # that campaign's launches and start over for the next one.
-                # A constructor injector wins over any spec.
-                self._arm_faults(FaultInjector(plan))
-                self._faults_from_spec = True
+        if plan is not None and not self.faults.enabled:
+            # A spec-carried plan arms a fresh injector scoped to this job:
+            # it fires only inside this job's launches, and its schedule
+            # counters (``times=``) span the job's launches and start over
+            # for the next job.
+            injector = FaultInjector(plan)
+            injector.attach_obs(self.obs)
         job = Job(
             job_id=self._next_job_id,
             program=program,
@@ -571,13 +552,12 @@ class Scheduler:
 
         # Ambient fault context: device-level injection points (allocation,
         # RPC replies) fired during this launch can match job=/device=
-        # selectors without threading the ids through every layer.  In
-        # job-scoped mode the job's own injector (or NO_FAULTS) is armed
-        # on the device for exactly this launch, so one tenant's plan
-        # never observes another tenant's traffic.
+        # selectors without threading the ids through every layer.  The
+        # job's own injector (or the constructor's, or NO_FAULTS) is armed
+        # on the device for exactly this launch, so one job's plan never
+        # observes another job's traffic.
         faults = job.injector if job.injector is not None else self.faults
-        if self.job_scoped_faults:
-            worker.device.faults = faults
+        worker.device.faults = faults
         with faults.scoped(job=job.job_id, device=worker.label):
             if faults.enabled:
                 fault = faults.fire(

@@ -15,11 +15,11 @@ boundary — and adds the layers a shared device needs:
   ``priority`` raises its tenant's share (see docs/serve.md §Fair
   share).  Given the same arrival order the admission order is
   bit-for-bit reproducible.
-* **Tenant-scoped chaos** — the scheduler runs in
-  ``job_scoped_faults`` mode, so a fault plan carried by one tenant's
-  spec can never observe another tenant's launches.  The scheduler's
-  quarantine/retry/deadline machinery is the server's SLO layer: an
-  injected fault degrades the one campaign, never the service.
+* **Tenant-scoped chaos** — the scheduler arms a fault plan carried by
+  one tenant's spec for that job alone, so it can never observe another
+  tenant's launches.  The scheduler's quarantine/retry/deadline
+  machinery is the server's SLO layer: an injected fault degrades the
+  one campaign, never the service.
 * **Streaming results** — submitting connections receive ``state``
   events and exactly one terminal ``result`` / ``failed`` /
   ``cancelled`` event per job; ``watch`` subscribes other connections.
@@ -162,12 +162,11 @@ class CampaignServer:
                 default_retries=default_retries,
                 static_packing=static_packing,
                 obs=self.obs,
-                job_scoped_faults=True,
             )
-        if not scheduler.job_scoped_faults:
+        if scheduler.faults.enabled:
             raise SchedulerError(
-                "CampaignServer needs a Scheduler(job_scoped_faults=True): "
-                "tenant fault plans must not leak across campaigns"
+                "CampaignServer needs a Scheduler without a constructor "
+                "fault injector: it would fire in every tenant's launches"
             )
         if self.cache is not None:
             scheduler.pool.attach_cache(self.cache)

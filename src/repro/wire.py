@@ -30,15 +30,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 from repro.errors import ReproError
-from repro.host.results import OutcomeMixin
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.faults.report import FaultReport
-    from repro.host.ensemble_loader import InstanceOutcome
 
 #: Version stamped on every document this process writes.  Bump only on
 #: an incompatible change (renamed/retyped field, changed semantics);
@@ -204,67 +198,6 @@ def spec_hash(data: dict) -> str:
 
 
 # ---------------------------------------------------------------------------
-# the generic outcome document
-# ---------------------------------------------------------------------------
-@dataclass
-class WireOutcome(OutcomeMixin):
-    """A deserialized ensemble outcome: pure data, protocol-complete.
-
-    Any :class:`~repro.host.results.EnsembleOutcome` (single launch or
-    scheduler job) serializes to the same
-    ``EnsembleOutcome`` wire kind via :func:`outcome_to_wire`; this is
-    what comes back out.  It satisfies the outcome protocol
-    (``instances`` / ``return_codes`` / ``all_succeeded`` /
-    ``total_cycles`` / ``stdout_of``) so report code consumes local and
-    remote results identically.
-    """
-
-    instances: list["InstanceOutcome"]
-    total_cycles: float | None = None
-    fault_reports: list["FaultReport"] = field(default_factory=list)
-
-    @property
-    def num_instances(self) -> int:
-        return len(self.instances)
-
-    @property
-    def degraded(self) -> bool:
-        return bool(self.fault_reports)
-
-
-def outcome_to_wire(outcome) -> dict:
-    """Serialize any :class:`EnsembleOutcome` implementation."""
-    data = envelope("EnsembleOutcome")
-    data["instances"] = [o.to_wire() for o in outcome.instances]
-    data["total_cycles"] = outcome.total_cycles
-    data["fault_reports"] = [
-        r.to_wire() for r in getattr(outcome, "fault_reports", [])
-    ]
-    return data
-
-
-def outcome_from_wire(data: dict) -> WireOutcome:
-    """Decode an ``EnsembleOutcome`` document into a :class:`WireOutcome`."""
-    from repro.faults.report import FaultReport
-    from repro.host.ensemble_loader import InstanceOutcome
-
-    check_envelope(data, "EnsembleOutcome")
-    kind = "EnsembleOutcome"
-    cycles = get_field(data, "total_cycles", (int, float), None, kind=kind)
-    return WireOutcome(
-        instances=[
-            InstanceOutcome.from_wire(o)
-            for o in get_field(data, "instances", list, kind=kind)
-        ],
-        total_cycles=None if cycles is None else float(cycles),
-        fault_reports=[
-            FaultReport.from_wire(r)
-            for r in get_field(data, "fault_reports", list, [], kind=kind)
-        ],
-    )
-
-
-# ---------------------------------------------------------------------------
 # dispatch for heterogeneous corpora
 # ---------------------------------------------------------------------------
 def from_wire_any(data: Any):
@@ -272,8 +205,6 @@ def from_wire_any(data: Any):
     if not isinstance(data, dict):
         raise WireError("wire document must be a JSON object")
     kind = data.get("kind")
-    if kind == "EnsembleOutcome":
-        return outcome_from_wire(data)
     # Deferred imports: this module is a leaf the value types import.
     if kind == "LaunchSpec":
         from repro.host.launch import LaunchSpec
@@ -324,14 +255,11 @@ __all__ = [
     "E_JOB_FAILED",
     "E_INTERNAL",
     "WireError",
-    "WireOutcome",
     "envelope",
     "check_envelope",
     "get_field",
     "string_list",
     "canonical_json",
     "spec_hash",
-    "outcome_to_wire",
-    "outcome_from_wire",
     "from_wire_any",
 ]

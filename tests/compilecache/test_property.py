@@ -53,6 +53,14 @@ def test_key_is_stable(src, team_local, budget, opt, backend):
     assert first.digest().startswith("sha256:")
 
 
+def test_default_opt_level_keys_as_level_one():
+    cache = ExecutableCache()
+    assert (
+        cache.key_for("src:abc", opt_level=None).digest()
+        == cache.key_for("src:abc", opt_level=1).digest()
+    )
+
+
 @settings(max_examples=50, deadline=None)
 @given(source_hashes, st.booleans(), budgets, opt_levels)
 def test_any_single_component_changes_the_digest(src, team_local, budget, opt):

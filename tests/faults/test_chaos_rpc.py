@@ -1,10 +1,10 @@
-"""Chaos: RPC-layer injection points (``rpc.reply``) over both transports.
+"""Chaos: RPC-layer injection points (``rpc.reply``).
 
 Contract under test: a dropped reply fails the launch transiently (so the
 scheduler's retry machinery recovers it), an injected timeout isolates
-exactly the targeted instance, and a corrupted reply flips exactly the
-requested byte — all deterministically, on both the direct and ring
-transports.
+exactly the targeted instance, a corrupted reply flips exactly the
+requested byte, and a duplicated request re-runs the handler — all
+deterministically.
 """
 
 import pytest
@@ -25,23 +25,13 @@ def spec(plan=None, lines=LINES):
     )
 
 
-@pytest.fixture(params=["direct", "ring"])
-def transport(request):
-    return request.param
-
-
-def make_loader(prog, transport):
-    return EnsembleLoader(
-        prog,
-        GPUDevice(SMALL_DEVICE),
-        heap_bytes=1 << 20,
-        rpc_transport=transport,
-    )
+def make_loader(prog):
+    return EnsembleLoader(prog, GPUDevice(SMALL_DEVICE), heap_bytes=1 << 20)
 
 
 class TestDrop:
-    def test_dropped_reply_fails_launch_transiently(self, echo_prog, transport):
-        loader = make_loader(echo_prog, transport)
+    def test_dropped_reply_fails_launch_transiently(self, echo_prog):
+        loader = make_loader(echo_prog)
         with pytest.raises(InjectedRPCFailure) as exc_info:
             loader.run_ensemble(spec("rpc_drop:rate=1.0:times=1"))
         # An RPCError subclass: upstream retry paths treat it like a real
@@ -52,8 +42,8 @@ class TestDrop:
         assert again.return_codes == [7, 8, 9, 10]
         loader.close()
 
-    def test_rate_zero_never_fires(self, echo_prog, transport):
-        loader = make_loader(echo_prog, transport)
+    def test_rate_zero_never_fires(self, echo_prog):
+        loader = make_loader(echo_prog)
         res = loader.run_ensemble(spec("rpc_drop:rate=0.0"))
         assert res.return_codes == [7, 8, 9, 10]
         assert not loader.device.faults.events
@@ -61,8 +51,8 @@ class TestDrop:
 
 
 class TestTimeout:
-    def test_timeout_isolates_one_instance(self, echo_prog, transport):
-        loader = make_loader(echo_prog, transport)
+    def test_timeout_isolates_one_instance(self, echo_prog):
+        loader = make_loader(echo_prog)
         res = loader.run_ensemble(spec("rpc_timeout:instance=2:times=1"))
         codes = [o.exit_code for o in res.instances]
         assert codes == [7, 8, FAULT_EXIT, 10]
@@ -75,8 +65,17 @@ class TestTimeout:
         assert not res.all_succeeded
         loader.close()
 
-    def test_other_instances_keep_their_output(self, echo_prog, transport):
-        loader = make_loader(echo_prog, transport)
+    def test_plan_does_not_outlive_its_launch(self, echo_prog):
+        loader = make_loader(echo_prog)
+        hit = loader.run_ensemble(spec("rpc_timeout:rate=1.0"))
+        assert hit.return_codes == [FAULT_EXIT] * 4
+        # The next launch's spec carries no plan, so nothing fires.
+        again = loader.run_ensemble(spec())
+        assert again.return_codes == [7, 8, 9, 10]
+        loader.close()
+
+    def test_other_instances_keep_their_output(self, echo_prog):
+        loader = make_loader(echo_prog)
         base = loader.run_ensemble(spec())
         hit = loader.run_ensemble(spec("rpc_timeout:instance=1:times=1"))
         for i in (0, 2, 3):
@@ -85,8 +84,8 @@ class TestTimeout:
 
 
 class TestCorrupt:
-    def test_corrupt_flips_requested_byte_of_reply(self, reply_prog, transport):
-        loader = make_loader(reply_prog, transport)
+    def test_corrupt_flips_requested_byte_of_reply(self, reply_prog):
+        loader = make_loader(reply_prog)
         base = loader.run_ensemble(spec(lines=[[]]))
         hit = loader.run_ensemble(
             spec("transport_corrupt:byte=0:times=1", lines=[[]])
@@ -95,8 +94,8 @@ class TestCorrupt:
         assert hit.return_codes[0] == base.return_codes[0] ^ 0xFF
         loader.close()
 
-    def test_corruption_is_deterministic(self, reply_prog, transport):
-        loader = make_loader(reply_prog, transport)
+    def test_corruption_is_deterministic(self, reply_prog):
+        loader = make_loader(reply_prog)
         runs = [
             loader.run_ensemble(
                 spec("transport_corrupt:byte=1:times=1", lines=[[]])
@@ -109,9 +108,9 @@ class TestCorrupt:
 
 class TestDup:
     def test_duplicate_reply_is_reexecuted_on_direct(self, echo_prog):
-        # The direct transport re-invokes the handler: printf runs twice,
-        # so the duplicated line is visible in the instance's stdout.
-        loader = make_loader(echo_prog, "direct")
+        # The host re-invokes the handler: printf runs twice, so the
+        # duplicated line is visible in the instance's stdout.
+        loader = make_loader(echo_prog)
         res = loader.run_ensemble(spec("rpc_dup:service=printf:times=1"))
         dupes = [
             o for o in res.instances
@@ -119,15 +118,4 @@ class TestDup:
         ]
         assert len(dupes) == 1
         assert res.return_codes == [7, 8, 9, 10]
-        loader.close()
-
-    def test_ring_transport_is_exactly_once(self, echo_prog):
-        # The ring mailbox keys replies by slot: duplication is structurally
-        # impossible, so the spec no-ops rather than faking a duplicate.
-        loader = make_loader(echo_prog, "ring")
-        base = loader.run_ensemble(spec())
-        res = loader.run_ensemble(spec("rpc_dup:service=printf:times=1"))
-        assert [o.stdout for o in res.instances] == [
-            o.stdout for o in base.instances
-        ]
         loader.close()

@@ -9,6 +9,7 @@ import pytest
 
 from repro.faults import FAULT_EXIT
 from repro.host.launch import LaunchSpec
+from repro.obs import Observability
 from repro.sched import DevicePool, Scheduler
 from tests.util import SMALL_DEVICE
 
@@ -167,7 +168,8 @@ class TestAcceptanceCampaign:
 class TestSpecCarriedPlan:
     def test_launch_spec_plan_arms_the_scheduler(self, pagerank_prog):
         pool = DevicePool(2, config=SMALL_DEVICE)
-        sched = Scheduler(pool, default_retries=2)
+        obs = Observability()
+        sched = Scheduler(pool, default_retries=2, obs=obs)
         workload = LaunchSpec(
             lines(4), thread_limit=32, fault_plan="worker_death:times=1"
         )
@@ -175,8 +177,35 @@ class TestSpecCarriedPlan:
             pagerank_prog, workload, loader_opts={"heap_bytes": HEAP}
         ).result()
         assert result.all_succeeded
-        assert sched.faults.enabled
-        assert len(sched.faults.events) == 1
+        fired = obs.metrics.series("faults.injected")
+        assert sum(c.value for c in fired) == 1
+        pool.close()
+
+    def test_spec_plan_does_not_leak_into_other_jobs(self, echo_prog):
+        # Two jobs queued together on one device: A's plan times out every
+        # RPC, B carries no plan and must run clean.
+        pool = DevicePool(1, config=SMALL_DEVICE)
+        sched = Scheduler(pool)
+        echo = [[str(i)] for i in range(4)]
+        opts = {"heap_bytes": 1 << 20}
+        a = sched.submit(
+            echo_prog,
+            LaunchSpec(
+                echo,
+                thread_limit=32,
+                collect_timing=False,
+                fault_plan="rpc_timeout:rate=1.0",
+            ),
+            loader_opts=opts,
+        )
+        b = sched.submit(
+            echo_prog,
+            LaunchSpec(echo, thread_limit=32, collect_timing=False),
+            loader_opts=opts,
+        )
+        assert a.result().return_codes == [FAULT_EXIT] * 4
+        assert b.result().return_codes == [0, 1, 2, 3]
+        assert not b.result().fault_reports
         pool.close()
 
     def test_constructor_injector_wins_over_spec(self, pagerank_prog):

@@ -128,10 +128,10 @@ class TestStdout:
 
         loader = EnsembleLoader(prog, GPUDevice(SMALL_DEVICE), heap_bytes=1 << 20)
         res = loader.run_ensemble(LaunchSpec(
-            [["7"], ["8"], ["9"]], thread_limit=32, collect_timing=False
+            [["7"], ["8"], ["9"], ["10"]], thread_limit=32, collect_timing=False
         ))
-        assert res.stdout_of(0) == "instance 7 says hi\n"
-        assert res.stdout_of(2) == "instance 9 says hi\n"
+        for i in range(4):
+            assert res.stdout_of(i) == f"instance {7 + i} says hi\n"
 
 
 class TestArgv0:

@@ -24,6 +24,21 @@ def adder_program():
     return prog
 
 
+def chatty_program():
+    prog = Program("chatty")
+
+    @prog.main
+    def main(argc: i64, argv: ptr_ptr) -> i64:
+        n = atoi(argv[1])  # noqa: F821
+        i = 0
+        while i < n:
+            printf("line %ld of %ld, x=%g\n", i, n, float(i) * 0.5)  # noqa: F821
+            i += 1
+        return n
+
+    return prog
+
+
 @pytest.fixture(scope="module")
 def loader():
     return Loader(adder_program(), GPUDevice(SMALL_DEVICE), heap_bytes=1 << 20)
@@ -53,6 +68,15 @@ def test_repeated_runs_do_not_leak_device_memory(loader):
     for _ in range(5):
         loader.run(["1"], collect_timing=False)
     assert loader.device.allocator.used_bytes == used_before
+    # ...nor does a run that makes 200 host RPCs, run repeatedly.
+    chatty = Loader(chatty_program(), GPUDevice(SMALL_DEVICE), heap_bytes=1 << 20)
+    used_before = chatty.device.allocator.used_bytes
+    for _ in range(2):
+        res = chatty.run(["200"], collect_timing=False)
+        assert res.exit_code == 200
+        assert res.stdout.count("\n") == 200
+        assert "line 4 of 200, x=2\n" in res.stdout
+        assert chatty.device.allocator.used_bytes == used_before
 
 
 def test_device_state_is_reset_between_runs(loader):

@@ -37,6 +37,10 @@ class TestPrintf:
         host.handle("printf", [fmt, 3.14159, 1234.5, 0.25], lane())
         out = host.instance_stdout(0)
         assert out == "[%8.3f|%e|%g]" % (3.14159, 1234.5, 0.25)
+        # %g drops a whole float's trailing ".0"
+        fmt = put_string(host, "line %ld of %ld, x=%g\n")
+        host.handle("printf", [fmt, 4, 5, 2.0], lane(1))
+        assert host.instance_stdout(1) == "line 4 of 5, x=2\n"
 
     def test_string_argument_reads_device_memory(self, host):
         fmt = put_string(host, "hello %s!")

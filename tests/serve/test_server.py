@@ -16,7 +16,7 @@ import pytest
 from repro import wire
 from repro.apps.registry import get_app
 from repro.config import DEFAULT_DEVICE
-from repro.errors import ServeError
+from repro.errors import SchedulerError, ServeError
 from repro.faults import FaultPlan
 from repro.sched import DevicePool, JobState, Scheduler
 from repro.serve.client import Client
@@ -29,7 +29,7 @@ from tests.serve.conftest import LOADER_OPTS, fingerprint, small_spec
 def one_shot(spec, *, loader_opts=LOADER_OPTS):
     """The direct scheduler path the server must match bitwise."""
     pool = DevicePool(2, config=DEFAULT_DEVICE)
-    sched = Scheduler(pool, job_scoped_faults=True)
+    sched = Scheduler(pool)
     try:
         return sched.run_campaign(
             get_app("pagerank").build_program(), spec, loader_opts=loader_opts
@@ -108,6 +108,17 @@ class TestFaultIsolation:
         assert clean_result.all_succeeded
         assert not clean_result.fault_reports
         assert fingerprint(clean_result) == fingerprint(one_shot(small_spec(2)))
+
+    def test_constructor_injector_refused(self):
+        # A constructor injector would fire in every tenant's launches.
+        pool = DevicePool(1, config=DEFAULT_DEVICE)
+        try:
+            with pytest.raises(SchedulerError, match="constructor"):
+                CampaignServer(
+                    scheduler=Scheduler(pool, faults="worker_death:times=1")
+                )
+        finally:
+            pool.close()
 
 
 class TestMultiTenant:
